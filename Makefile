@@ -1,9 +1,9 @@
 # Convenience targets; the source of truth is dune.
 
 .PHONY: ci build test bench-perf bench-fuzz bench-shrink shrink-smoke \
-  fuzz-parallel-smoke cache-smoke oracle-digest-smoke clean
+  fuzz-parallel-smoke cache-smoke clean
 
-ci: build test shrink-smoke fuzz-parallel-smoke cache-smoke oracle-digest-smoke
+ci: build test shrink-smoke fuzz-parallel-smoke cache-smoke
 
 build:
 	dune build @all
@@ -30,36 +30,21 @@ fuzz-parallel-smoke:
 	test -s _build/fuzz-smoke-j1.txt
 	diff -u _build/fuzz-smoke-j1.txt _build/fuzz-smoke-j2.txt
 
-# Cache-transparency smoke test: the dedup cache and the verdict cache
-# must not change what a campaign finds, only how fast it finds it. Run
-# the buggy-NOVA ACE suite with caches at their defaults, with dedup off
-# and with the verdict cache off; the per-finding fingerprint lines must
-# match exactly (only the hit-rate footer may differ).
+# Cache-transparency smoke test: the verdict cache must not change what a
+# campaign finds, only how fast it finds it. Run the buggy-NOVA ACE suite
+# with the verdict cache on (the default) and off; the per-finding
+# fingerprint lines must match exactly (only the hit-rate footer may differ).
 cache-smoke:
 	dune exec bin/chipmunk_cli.exe -- ace --fs nova --buggy --suite seq1 \
 	  | grep '^fingerprint' > _build/cache-smoke-default.txt
 	dune exec bin/chipmunk_cli.exe -- ace --fs nova --buggy --suite seq1 \
-	  --no-dedup | grep '^fingerprint' > _build/cache-smoke-nodedup.txt
-	dune exec bin/chipmunk_cli.exe -- ace --fs nova --buggy --suite seq1 \
 	  --no-vcache | grep '^fingerprint' > _build/cache-smoke-novcache.txt
 	test -s _build/cache-smoke-default.txt
-	diff -u _build/cache-smoke-nodedup.txt _build/cache-smoke-default.txt
 	diff -u _build/cache-smoke-novcache.txt _build/cache-smoke-default.txt
 
-# Digest-keying smoke test: verdict-cache keys built from the oracle's
-# incremental tree digests (the default) and keys built by re-serializing
-# whole oracle trees (--vcache-keys serialized, the historical scheme)
-# must produce identical finding lines on the buggy-NOVA ACE suite.
-oracle-digest-smoke:
-	dune exec bin/chipmunk_cli.exe -- ace --fs nova --buggy --suite seq1 \
-	  | grep '^fingerprint' > _build/oracle-digest-smoke-digest.txt
-	dune exec bin/chipmunk_cli.exe -- ace --fs nova --buggy --suite seq1 \
-	  --vcache-keys serialized | grep '^fingerprint' > _build/oracle-digest-smoke-serialized.txt
-	test -s _build/oracle-digest-smoke-digest.txt
-	diff -u _build/oracle-digest-smoke-serialized.txt _build/oracle-digest-smoke-digest.txt
-
-# Rewrite BENCH_parallel.json (sequential vs parallel wall-clock, dedup
-# hit-rate, states/sec) so the perf trajectory is tracked across PRs.
+# Rewrite BENCH_parallel.json (verdict cache off/on and sequential vs
+# parallel wall-clock, hit rates, states/sec and mounts/sec; one run per
+# config) so the perf trajectory is tracked across commits.
 # Override the worker-domain count with CHIPMUNK_JOBS=N.
 bench-perf:
 	dune exec bench/main.exe parallel

@@ -9,7 +9,7 @@
      cap-sweep    Obs. 7   - minimal replayed-writes cap per bug
      inflight     sect 3.2 - in-flight write statistics per syscall
      perf         Obs. 2 + sect 6.2 - Bechamel microbenchmarks
-     parallel     perf tracking - sequential vs --jobs, dedup hit-rate
+     parallel     perf tracking - verdict cache off/on, sequential vs --jobs
                   (rewrites BENCH_parallel.json for cross-PR comparison)
      fuzz-parallel perf tracking - fuzzer execs/sec at jobs=1/2/4 plus the
                   cross-job determinism check (rewrites BENCH_fuzz.json)
@@ -455,16 +455,17 @@ let perf () =
   | None -> ())
 
 (* ------------------------------------------------------------------ *)
-(* Parallel campaign + dedup cache perf tracking                       *)
+(* Parallel campaign + verdict cache perf tracking                     *)
 
-(* Machine-readable perf snapshot so the trajectory (sequential vs
-   domain-sharded wall-clock, dedup hit-rate, states/sec) is comparable
-   across commits: every run rewrites BENCH_parallel.json in the working
-   directory. *)
+(* Machine-readable perf snapshot so the trajectory (verdict cache off vs
+   on, sequential vs domain-sharded wall-clock, hit rates, states/sec) is
+   comparable across commits: every run rewrites BENCH_parallel.json in the
+   working directory. Each config is timed by a single run, so the
+   speedups carry run-to-run noise; perfbench/ is the repeated,
+   spread-checked benchmark. *)
 let parallel_perf () =
   header
-    (Printf.sprintf
-       "Parallel campaign + crash-state dedup (jobs=%d, %d core(s) recommended)" jobs
+    (Printf.sprintf "Parallel campaign + verdict cache (jobs=%d, %d core(s) recommended)" jobs
        (Domain.recommended_domain_count ()));
   let mk_driver () =
     match Catalog.buggy_driver "nova" with
@@ -472,124 +473,52 @@ let parallel_perf () =
     | None -> Novafs.driver ()
   in
   let suite () = Seq.append (Ace.seq1 Ace.Strong) (Seq.take 600 (Ace.seq2 Ace.Strong)) in
-  let time f =
+  let campaign ?(jobs = 1) use_vcache =
     let t0 = Unix.gettimeofday () in
-    let r = f () in
+    let r =
+      Chipmunk.Campaign.run
+        ~exec:(Chipmunk.Run.exec ~keep_sizes:false ~use_vcache ~jobs ())
+        (mk_driver ()) (suite ())
+    in
     (r, Unix.gettimeofday () -. t0)
   in
-  (* Five configs, each isolating one layer: no caches at all, the
-     per-point dedup alone, dedup + verdict cache keyed by whole-tree
-     serialization (the pre-digest scheme, kept as the before-measurement),
-     dedup + verdict cache on incremental oracle digests (the default), and
-     the full config sharded over domains. *)
-  let no_dedup = { Chipmunk.Harness.default_opts with dedup_states = false } in
-  let serialized_keys =
-    {
-      Chipmunk.Harness.default_opts with
-      vcache_keying = Chipmunk.Vcache.Tree_serialization;
-    }
-  in
-  let seq_nc, t_seq_nc =
-    time (fun () ->
-        Chipmunk.Campaign.run
-          ~exec:(Chipmunk.Run.exec ~opts:no_dedup ~keep_sizes:false ~use_vcache:false ())
-          (mk_driver ()) (suite ()))
-  in
-  let seq_d, t_seq_d =
-    time (fun () ->
-        Chipmunk.Campaign.run
-          ~exec:(Chipmunk.Run.exec ~keep_sizes:false ~use_vcache:false ())
-          (mk_driver ()) (suite ()))
-  in
-  let seq_ser, t_seq_ser =
-    time (fun () ->
-        Chipmunk.Campaign.run
-          ~exec:(Chipmunk.Run.exec ~opts:serialized_keys ~keep_sizes:false ())
-          (mk_driver ()) (suite ()))
-  in
-  let seq, t_seq =
-    time (fun () ->
-        Chipmunk.Campaign.run
-          ~exec:(Chipmunk.Run.exec ~keep_sizes:false ())
-          (mk_driver ()) (suite ()))
-  in
-  let par, t_par =
-    time (fun () ->
-        Chipmunk.Campaign.run
-          ~exec:(Chipmunk.Run.exec ~keep_sizes:false ~jobs ())
-          (mk_driver ()) (suite ()))
-  in
+  (* Three configs: no verdict cache (the uncached differential baseline),
+     the default, and the default sharded over domains. *)
+  let seq_nv, t_seq_nv = campaign false in
+  let seq, t_seq = campaign true in
+  let par, t_par = campaign ~jobs true in
   let fps (r : Chipmunk.Campaign.result) =
     List.map (fun e -> e.Chipmunk.Campaign.fingerprint) r.Chipmunk.Campaign.events
   in
-  let findings_equal =
-    fps seq = fps par && fps seq = fps seq_nc && fps seq = fps seq_d
-    && fps seq = fps seq_ser
-  in
-  let checked (r : Chipmunk.Campaign.result) =
+  let findings_equal = fps seq = fps par && fps seq = fps seq_nv in
+  let mounts (r : Chipmunk.Campaign.result) =
     r.Chipmunk.Campaign.crash_states - r.Chipmunk.Campaign.dedup_hits
     - r.Chipmunk.Campaign.vcache_hits
   in
-  let rate r t = float_of_int (checked r) /. t in
-  let hit_rate =
-    float_of_int seq_d.Chipmunk.Campaign.dedup_hits
-    /. float_of_int (max 1 seq_d.Chipmunk.Campaign.crash_states)
+  let per_sec n t = float_of_int n /. t in
+  let frac n (r : Chipmunk.Campaign.result) =
+    float_of_int n /. float_of_int (max 1 r.Chipmunk.Campaign.crash_states)
   in
-  let vcache_hit_rate =
-    float_of_int seq.Chipmunk.Campaign.vcache_hits
-    /. float_of_int (max 1 seq.Chipmunk.Campaign.crash_states)
-  in
+  let hit_rate = frac seq_nv.Chipmunk.Campaign.dedup_hits seq_nv in
+  let vcache_hit_rate = frac seq.Chipmunk.Campaign.vcache_hits seq in
   let row label (r : Chipmunk.Campaign.result) t =
-    Printf.printf "%-24s %8.2fs %10d states %8d dedup %8d vcache %10.0f checked/s %4d findings\n"
+    Printf.printf
+      "%-24s %8.2fs %10d states %8d dedup %8d vcache %10.0f states/s %8.0f mounts/s %4d \
+       findings\n"
       label t r.Chipmunk.Campaign.crash_states r.Chipmunk.Campaign.dedup_hits
-      r.Chipmunk.Campaign.vcache_hits (rate r t)
+      r.Chipmunk.Campaign.vcache_hits
+      (per_sec r.Chipmunk.Campaign.crash_states t)
+      (per_sec (mounts r) t)
       (List.length r.Chipmunk.Campaign.events)
   in
-  row "sequential, no caches" seq_nc t_seq_nc;
-  row "sequential, dedup only" seq_d t_seq_d;
-  row "sequential, vcache ser." seq_ser t_seq_ser;
-  row "sequential (full)" seq t_seq;
+  row "sequential, no vcache" seq_nv t_seq_nv;
+  row "sequential" seq t_seq;
   row (Printf.sprintf "parallel (jobs=%d)" jobs) par t_par;
   Printf.printf
-    "dedup hit-rate %.1f%% (speedup %.2fx), vcache hit-rate %.1f%% (speedup %.2fx \
-     digest keys, %.2fx serialized keys), parallel speedup %.2fx, findings %s\n"
-    (100.0 *. hit_rate) (t_seq_nc /. t_seq_d) (100.0 *. vcache_hit_rate) (t_seq_d /. t_seq)
-    (t_seq_d /. t_seq_ser) (t_seq /. t_par)
+    "dedup hit-rate %.1f%%, vcache hit-rate %.1f%% (speedup %.2fx), parallel speedup \
+     %.2fx, findings %s (single run per config)\n"
+    (100.0 *. hit_rate) (100.0 *. vcache_hit_rate) (t_seq_nv /. t_seq) (t_seq /. t_par)
     (if findings_equal then "identical" else "DIFFER");
-  (* Digest-time breakdown (E14): seconds to key every phase of the first
-     200 suite workloads under each keying scheme, oracle construction
-     excluded — isolates what the incremental digests take off the
-     phase-key path. *)
-  let t_keys_digest, t_keys_serialized, key_workloads =
-    let prepped =
-      List.map
-        (fun (_, calls) ->
-          ( Chipmunk.Oracle.run calls,
-            Array.of_list (List.map Vfs.Syscall.to_string calls) ))
-        (List.of_seq (Seq.take 200 (suite ())))
-    in
-    let phases o =
-      Chipmunk.Checker.Initial
-      :: List.concat
-           (List.init (Chipmunk.Oracle.n_calls o) (fun i ->
-                [ Chipmunk.Checker.During i; Chipmunk.Checker.After i ]))
-    in
-    let time_keys f =
-      let t0 = Unix.gettimeofday () in
-      List.iter
-        (fun (o, texts) -> List.iter (fun p -> ignore (f o texts p)) (phases o))
-        prepped;
-      Unix.gettimeofday () -. t0
-    in
-    ( time_keys (fun o texts p -> Chipmunk.Vcache.phase_digest o ~calls:texts p),
-      time_keys (fun o texts p ->
-          Chipmunk.Vcache.phase_digest_serialized o ~calls:texts p),
-      List.length prepped )
-  in
-  Printf.printf
-    "phase keys over %d workloads: %.4fs digest, %.4fs serialized (%.1fx)\n"
-    key_workloads t_keys_digest t_keys_serialized
-    (t_keys_serialized /. t_keys_digest);
   let obj fields =
     "{" ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%S:%s" k v) fields) ^ "}"
   in
@@ -602,31 +531,27 @@ let parallel_perf () =
         ("crash_states", string_of_int r.Chipmunk.Campaign.crash_states);
         ("dedup_hits", string_of_int r.Chipmunk.Campaign.dedup_hits);
         ("vcache_hits", string_of_int r.Chipmunk.Campaign.vcache_hits);
-        ("checked_states_per_sec", Printf.sprintf "%.1f" (rate r t));
+        ("mounts", string_of_int (mounts r));
+        ("states_per_sec", Printf.sprintf "%.1f" (per_sec r.Chipmunk.Campaign.crash_states t));
+        ("mounts_per_sec", Printf.sprintf "%.1f" (per_sec (mounts r) t));
         ("findings", string_of_int (List.length r.Chipmunk.Campaign.events));
       ]
   in
   let json =
     obj
       [
-        ("schema", "\"chipmunk-bench-parallel/3\"");
+        ("schema", "\"chipmunk-bench-parallel/4\"");
         ("suite", "\"nova-buggy seq1 + seq2[:600]\"");
+        ("timing", "\"single run per config\"");
         ("jobs", string_of_int jobs);
         ("recommended_domains", string_of_int (Domain.recommended_domain_count ()));
-        ("sequential_no_dedup", run_obj seq_nc t_seq_nc);
-        ("sequential_dedup_only", run_obj seq_d t_seq_d);
-        ("sequential_serialized_keys", run_obj seq_ser t_seq_ser);
+        ("sequential_no_vcache", run_obj seq_nv t_seq_nv);
         ("sequential", run_obj seq t_seq);
         ("parallel", run_obj par t_par);
         ("dedup_hit_rate", Printf.sprintf "%.4f" hit_rate);
-        ("dedup_speedup", Printf.sprintf "%.3f" (t_seq_nc /. t_seq_d));
         ("vcache_hit_rate", Printf.sprintf "%.4f" vcache_hit_rate);
-        ("vcache_speedup", Printf.sprintf "%.3f" (t_seq_d /. t_seq));
-        ("vcache_speedup_serialized", Printf.sprintf "%.3f" (t_seq_d /. t_seq_ser));
+        ("vcache_speedup", Printf.sprintf "%.3f" (t_seq_nv /. t_seq));
         ("parallel_speedup", Printf.sprintf "%.3f" (t_seq /. t_par));
-        ("phase_key_workloads", string_of_int key_workloads);
-        ("phase_key_seconds_digest", Printf.sprintf "%.4f" t_keys_digest);
-        ("phase_key_seconds_serialized", Printf.sprintf "%.4f" t_keys_serialized);
         ("findings_equal", string_of_bool findings_equal);
         ( "findings",
           "["

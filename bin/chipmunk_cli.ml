@@ -9,7 +9,7 @@
      chipmunk-cli reproduce bug.repro.json    rebuild and re-verify a reproducer
 
    The campaign-style subcommands (ace, fuzz, replay) parse one shared
-   execution/budget flag table — --cap, --no-dedup, --no-vcache, --jobs,
+   execution/budget flag table — --cap, --no-vcache, --jobs,
    --max-seconds, --stop-after, --minimize — into the Chipmunk.Run records
    instead of keeping per-subcommand copies. *)
 
@@ -39,9 +39,7 @@ let buggy_arg =
 
 type common = {
   cap : int;  (* 0 = subcommand default *)
-  no_dedup : bool;
   no_vcache : bool;
-  vcache_keys : Chipmunk.Vcache.keying;
   jobs : int;
   max_seconds : float option;
   stop_after : int option;
@@ -55,10 +53,6 @@ let cap_arg =
   in
   Arg.(value & opt int 0 & info [ "cap" ] ~docv:"N" ~doc)
 
-let no_dedup_arg =
-  let doc = "Disable the crash-state dedup cache (mount and check every enumerated state)." in
-  Arg.(value & flag & info [ "no-dedup" ] ~doc)
-
 let no_vcache_arg =
   let doc =
     "Disable the campaign-wide verdict cache (re-run mount+check even for crash states \
@@ -66,24 +60,6 @@ let no_vcache_arg =
      way."
   in
   Arg.(value & flag & info [ "no-vcache" ] ~doc)
-
-let vcache_keys_arg =
-  let doc =
-    "Verdict-cache key scheme: $(b,digest) reads the oracle's incremental boundary \
-     digests (O(1) per phase); $(b,serialized) re-serializes whole oracle trees (the \
-     historical scheme, kept as a differential baseline). Findings are identical under \
-     either."
-  in
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("digest", Chipmunk.Vcache.Oracle_digest);
-             ("serialized", Chipmunk.Vcache.Tree_serialization);
-           ])
-        Chipmunk.Vcache.Oracle_digest
-    & info [ "vcache-keys" ] ~docv:"SCHEME" ~doc)
 
 let jobs_arg =
   let doc =
@@ -105,12 +81,12 @@ let minimize_flag =
   Arg.(value & flag & info [ "minimize" ] ~doc)
 
 let common_term =
-  let mk cap no_dedup no_vcache vcache_keys jobs max_seconds stop_after minimize =
-    { cap; no_dedup; no_vcache; vcache_keys; jobs; max_seconds; stop_after; minimize }
+  let mk cap no_vcache jobs max_seconds stop_after minimize =
+    { cap; no_vcache; jobs; max_seconds; stop_after; minimize }
   in
   Term.(
-    const mk $ cap_arg $ no_dedup_arg $ no_vcache_arg $ vcache_keys_arg $ jobs_arg
-    $ max_seconds_arg $ stop_after_arg $ minimize_flag)
+    const mk $ cap_arg $ no_vcache_arg $ jobs_arg $ max_seconds_arg $ stop_after_arg
+    $ minimize_flag)
 
 (* The shared "cache:" stats footer line: hit counts and rates over the
    enumerated crash states. *)
@@ -123,12 +99,7 @@ let cache_line ~crash_states ~dedup_hits ~vcache_hits =
    cap when --cap is 0 (None = exhaustive). *)
 let opts_of_common ?default_cap (c : common) =
   let cap = if c.cap <= 0 then default_cap else Some c.cap in
-  {
-    Chipmunk.Harness.default_opts with
-    cap;
-    dedup_states = not c.no_dedup;
-    vcache_keying = c.vcache_keys;
-  }
+  { Chipmunk.Harness.default_opts with cap }
 
 let list_cmd =
   let run () =

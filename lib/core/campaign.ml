@@ -130,7 +130,7 @@ let run ?(exec = Run.default_exec) ?(budget = Run.unlimited) driver suite =
   in
   (* One verdict cache for the whole campaign (when enabled): the harness
      syncs it at workload boundaries, so worker domains share verdicts via
-     the PR 3 snapshot/merge pattern. Never reused across campaigns — the
+     a per-domain snapshot/merge. Never reused across campaigns — the
      entries are only valid for this [driver] instance. *)
   let vcache = if exec.Run.use_vcache then Some (Vcache.create ()) else None in
   let work (_name, workload) =

@@ -11,8 +11,6 @@ type opts = {
   stop_on_first : bool;
   granularity : Pm.granularity;
   read_set_heuristic : bool;
-  dedup_states : bool;
-  vcache_keying : Vcache.keying;
 }
 
 let default_opts =
@@ -25,8 +23,6 @@ let default_opts =
     stop_on_first = false;
     granularity = Pm.Function_level;
     read_set_heuristic = false;
-    dedup_states = true;
-    vcache_keying = Vcache.Oracle_digest;
   }
 
 type stats = {
@@ -214,23 +210,15 @@ let replay_phases ~opts ?vcache ?minimize (driver : Vfs.Driver.t) ~calls ~trace 
   (* The verdict-cache key half that covers the oracle slice: digest of
      everything the checker consults at a phase besides the image itself,
      pre-combined with the fs name into the key prefix so per-state key
-     building is a tuple allocation. One prefix per phase per workload.
-     Under the default [Oracle_digest] keying each is O(1) off the oracle's
-     incremental boundary digests; [Tree_serialization] keeps the historical
-     whole-tree rendering, so it stays memoized lazily. *)
+     building is a tuple allocation. One prefix per phase per workload, each
+     O(1) off the oracle's incremental boundary digests. *)
   let call_texts = lazy (Array.map Vfs.Syscall.to_string workload_arr) in
   let phase_prefixes : (Checker.phase, string) Hashtbl.t = Hashtbl.create 8 in
   let phase_prefix phase =
     match Hashtbl.find_opt phase_prefixes phase with
     | Some p -> p
     | None ->
-      let texts = Lazy.force call_texts in
-      let d =
-        match opts.vcache_keying with
-        | Vcache.Oracle_digest -> Vcache.phase_digest oracle ~calls:texts phase
-        | Vcache.Tree_serialization ->
-          Vcache.phase_digest_serialized oracle ~calls:texts phase
-      in
+      let d = Vcache.phase_digest oracle ~calls:(Lazy.force call_texts) phase in
       let p = Vcache.prefix ~fs:driver.Vfs.Driver.name ~phase_digest:d in
       Hashtbl.add phase_prefixes phase p;
       p
@@ -272,14 +260,16 @@ let replay_phases ~opts ?vcache ?minimize (driver : Vfs.Driver.t) ~calls ~trace 
      under an undo session, digest the result (O(dirty lines) thanks to the
      image's incremental digest), then consult the two caches before paying
      for a mount+check:
-     - per-point dedup ([opts.dedup_states], PR 1): subsets producing
-       byte-identical images at this crash point are checked once; keyed by
-       the post-apply digest, which replaced the [Coalesce.effective_delta]
-       keying whose cost exceeded the mounts it saved.
+     - per-point dedup ([point_seen]): subsets producing byte-identical
+       images at this crash point are checked once, keyed by the post-apply
+       digest. Every such state would also hit [vcache] (the phase prefix is
+       constant within a point); the table keeps the split between
+       [dedup_hits] and [vcache_hits] and covers runs without a [vcache].
      - campaign-wide verdict cache ([vcache]): equivalent states reached at
        other crash points or in other workloads replay the memoized kinds
-       without mounting. Reports still go through [emit] with this
-       occurrence's crash point, so finding sets are unchanged. *)
+       and re-mark the memoized coverage points without mounting. Reports
+       still go through [emit] with this occurrence's crash point, so
+       finding sets are unchanged. *)
   let check_state ~phase ~point_seen ~base_units units_arr subset_idxs ~n =
     stats.crash_states <- stats.crash_states + 1;
     let subset_units = List.map (fun i -> units_arr.(i)) subset_idxs in
@@ -290,20 +280,12 @@ let replay_phases ~opts ?vcache ?minimize (driver : Vfs.Driver.t) ~calls ~trace 
         List.iter (fun (addr, data) -> Persist.Undo.write_string undo ~off:addr data) u.parts)
       replay_units;
     let dg = Image.digest replay in
-    let skip =
-      opts.dedup_states
-      &&
-      if Hashtbl.mem point_seen dg then begin
-        stats.dedup_hits <- stats.dedup_hits + 1;
-        true
-      end
-      else begin
-        Hashtbl.replace point_seen dg ();
-        false
-      end
-    in
-    if skip then Persist.Undo.rollback undo
+    if Hashtbl.mem point_seen dg then begin
+      stats.dedup_hits <- stats.dedup_hits + 1;
+      Persist.Undo.rollback undo
+    end
     else begin
+      Hashtbl.replace point_seen dg ();
       let finish kinds =
         Persist.Undo.rollback undo;
         if kinds <> [] then
@@ -317,12 +299,13 @@ let replay_phases ~opts ?vcache ?minimize (driver : Vfs.Driver.t) ~calls ~trace 
       | Some vc -> (
         let key = Vcache.key_of ~prefix:(phase_prefix phase) ~image_digest:dg in
         match Vcache.find vc key with
-        | Some kinds ->
+        | Some e ->
           stats.vcache_hits <- stats.vcache_hits + 1;
-          finish kinds
+          List.iter Cov.mark e.Vcache.cov;
+          finish e.Vcache.kinds
         | None ->
-          let kinds = mount_and_check ~phase ~undo in
-          Vcache.add vc key kinds;
+          let kinds, cov = Cov.record (fun () -> mount_and_check ~phase ~undo) in
+          Vcache.add vc key ~kinds ~cov;
           finish kinds)
     end
   in
@@ -337,12 +320,7 @@ let replay_phases ~opts ?vcache ?minimize (driver : Vfs.Driver.t) ~calls ~trace 
     Pm.set_undo pm2 (Some undo);
     let reads = ref [] in
     Pm.set_read_hook pm2 (Some (fun off len -> reads := (off, len) :: !reads));
-    (try
-       match driver.Vfs.Driver.mount pm2 with
-       | exception _ -> ()
-       | Error _ -> ()
-       | Ok _ -> ()
-     with _ -> ());
+    (match driver.Vfs.Driver.mount pm2 with exception _ -> () | Error _ | Ok _ -> ());
     Pm.set_read_hook pm2 None;
     Pm.set_undo pm2 None;
     Persist.Undo.rollback undo;

@@ -34,21 +34,6 @@ type opts = {
           applied — cold writes are invisible to recovery but not to the
           checker, so hot-subset states must also be constructed on the
           base the next crash point builds on. Off by default. *)
-  dedup_states : bool;
-      (** Crash-state dedup cache (Vinter deduplicates crash images by
-          content before tracing them): per crash point, key each enumerated
-          state by its post-apply {!Pmem.Image.digest} — O(dirty lines) via
-          the image's incremental digest — and mount/walk/check only the
-          first state with a given key. Byte-identical images must check
-          identically, so detected reports are unchanged; skips are counted
-          in [stats.dedup_hits]. On by default. *)
-  vcache_keying : Vcache.keying;
-      (** How verdict-cache keys digest the oracle slice:
-          [Vcache.Oracle_digest] (default) reads the oracle's incrementally
-          maintained boundary digests in O(1) per phase;
-          [Vcache.Tree_serialization] re-serializes whole oracle trees (the
-          pre-digest scheme, kept as a differential baseline — findings are
-          identical under either). Ignored when no [vcache] is passed. *)
 }
 
 val default_opts : opts
@@ -64,10 +49,12 @@ type stats = {
   mutable fences : int;
   mutable in_flight_sizes : int list;  (** One sample per crash point. *)
   mutable dedup_hits : int;
-      (** Crash states skipped by the dedup cache: enumerated subsets whose
-          post-apply image digest matched an already-checked state at the
-          same crash point. [crash_states] still counts every enumerated
-          state, so the mount+check work actually done is
+      (** Crash states skipped by the per-crash-point dedup table:
+          enumerated subsets whose post-apply image {!Pmem.Image.digest}
+          matched an already-checked state at the same crash point.
+          Byte-identical images check identically, so reports are
+          unchanged. [crash_states] still counts every enumerated state, so
+          the mount+check work actually done is
           [crash_states - dedup_hits - vcache_hits]. *)
   mutable vcache_hits : int;
       (** Crash states whose verdict was served by the campaign-wide

@@ -10,7 +10,12 @@
    across crash points and across workloads: ACE workload families share long
    syscall prefixes, so whole mount+check rounds repeat campaign-wide.
 
-   Concurrency follows the PR 3 pattern (lib/cov): each domain works against
+   An entry also carries the coverage points ([Cov.record]) marked while
+   its verdict was computed, so a hit can re-mark what the skipped mount,
+   check and usability probe would have marked: per-execution coverage is
+   then the same whichever slot or domain filled the entry.
+
+   Concurrency follows the pattern of lib/cov: each domain works against
    a private view (lock-free hot path) and periodically [sync]s with a
    mutex-protected shared table. The shared side keeps a newest-first log so
    a sync pulls only entries published since the domain's last visit. Caches
@@ -18,7 +23,7 @@
    would compute — so jobs=1 vs jobs=N stay finding-for-finding identical
    even though hit *counts* depend on scheduling. *)
 
-type entry = Report.kind list
+type entry = { kinds : Report.kind list; cov : string list }
 
 type ckey = string * int
 (* (fs ^ "|" ^ phase-digest, image digest): structural key, so the hot path
@@ -52,11 +57,17 @@ let create () =
 let local t = Domain.DLS.get t.dls
 let find t key = Hashtbl.find_opt (local t).view key
 
-let add t key kinds =
+(* Shared by every consistent verdict that marked no coverage — all of
+   them when coverage collection is off — so those entries cost no
+   allocation beyond the table's own. *)
+let consistent = { kinds = []; cov = [] }
+
+let add t key ~kinds ~cov =
   let l = local t in
   if not (Hashtbl.mem l.view key) then begin
-    Hashtbl.replace l.view key kinds;
-    l.fresh <- (key, kinds) :: l.fresh
+    let e = if kinds = [] && cov = [] then consistent else { kinds; cov } in
+    Hashtbl.replace l.view key e;
+    l.fresh <- (key, e) :: l.fresh
   end
 
 let sync t =
@@ -95,16 +106,14 @@ let entries t =
 
 (* --- keys --- *)
 
-type keying = Oracle_digest | Tree_serialization
-
 let call_text calls i = if i < Array.length calls then calls.(i) else "?"
 
 (* Everything the checker reads from the oracle/workload at this phase, and
    nothing more: notably NOT the syscall index itself, so equivalent phases
    of different workloads (shared ACE-family prefixes) share cache lines.
    The tree component is the oracle's incrementally maintained boundary
-   digest — O(1) here, O(changed nodes) amortized over the oracle run —
-   instead of a re-serialization of whole trees. Call texts are
+   digest — O(1) here, O(changed nodes) amortized over the oracle run; its
+   from-scratch reference is [Oracle.redigest]. Call texts are
    length-prefixed so a pathological syscall rendering cannot straddle a
    separator. *)
 let phase_digest oracle ~calls (phase : Checker.phase) =
@@ -126,43 +135,5 @@ let phase_digest oracle ~calls (phase : Checker.phase) =
     in
     Printf.sprintf "A\001%s\001%s\001%x" (call i) tgt (Oracle.post_digest oracle i)
 
-(* Pre-digest serialization keying, kept as a differential baseline: digests
-   are byte-identical to the historical rendering (which looked syscalls up
-   with List.nth_opt per call — O(n²) over a workload; callers now pass the
-   calls pre-rendered as an array). *)
-
-let add_tree buf tree =
-  List.iter (fun n -> Vfs.Walker.serialize_node buf n) tree
-
-let add_call buf calls i =
-  Buffer.add_string buf (call_text calls i);
-  Buffer.add_char buf '\n'
-
-let phase_digest_serialized oracle ~calls (phase : Checker.phase) =
-  let buf = Buffer.create 512 in
-  (match phase with
-  | Checker.Initial ->
-    Buffer.add_string buf "I\n";
-    add_tree buf (Oracle.pre oracle 0)
-  | Checker.During i ->
-    Buffer.add_string buf "D ";
-    add_call buf calls i;
-    add_tree buf (Oracle.pre oracle i);
-    Buffer.add_string buf "--\n";
-    add_tree buf (Oracle.post oracle i)
-  | Checker.After i ->
-    Buffer.add_string buf "A ";
-    add_call buf calls i;
-    (match Oracle.target oracle i with
-    | None -> ()
-    | Some p ->
-      Buffer.add_string buf p;
-      Buffer.add_char buf '\n');
-    add_tree buf (Oracle.post oracle i));
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
 let prefix ~fs ~phase_digest = fs ^ "|" ^ phase_digest
 let key_of ~prefix ~image_digest : ckey = (prefix, image_digest)
-
-let key ~fs ~image_digest ~phase_digest =
-  key_of ~prefix:(prefix ~fs ~phase_digest) ~image_digest

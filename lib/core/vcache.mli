@@ -11,13 +11,22 @@
     entirely. Reports are still emitted per occurrence with their own crash
     point, so finding sets are byte-identical with the cache on or off.
 
-    Thread-safe via the PR 3 snapshot/merge pattern: lookups and inserts run
+    Each entry also holds the coverage points marked while its verdict was
+    computed ({!Cov.record}); the harness re-marks them on a hit, so
+    per-execution coverage does not depend on which execution filled the
+    entry. They are empty when coverage collection is off.
+
+    Thread-safe via a snapshot/merge pattern: lookups and inserts run
     against a lock-free per-domain view ({!Domain.DLS}); {!sync} exchanges
     fresh entries with a mutex-protected shared table at epoch boundaries
     (the harness syncs before and after each workload's replay loop). Hit
     counts therefore depend on scheduling, but findings never do. *)
 
 type t
+
+type entry = { kinds : Report.kind list; cov : string list }
+(** A memoized verdict: the checker's kinds ([[]] = consistent) and the
+    coverage points the mount, check and usability probe marked. *)
 
 val create : unit -> t
 (** A fresh, empty cache. Create one per campaign/fuzz run: entries are only
@@ -35,35 +44,19 @@ val prefix : fs:string -> phase_digest:string -> string
 val key_of : prefix:string -> image_digest:int -> ckey
 (** Cache key for one crash state, from a memoized {!prefix}. O(1). *)
 
-val key : fs:string -> image_digest:int -> phase_digest:string -> ckey
-(** [key_of ~prefix:(prefix ~fs ~phase_digest) ~image_digest]. *)
-
-type keying = Oracle_digest | Tree_serialization
-(** How the oracle-slice component of the key is computed: from the oracle's
-    incrementally maintained boundary digests (the default — O(1) per
-    phase), or by re-serializing whole oracle trees (the historical scheme,
-    kept as a differential baseline; byte-identical digests to PR 4). Both
-    cover exactly what the checker reads, so findings are identical under
-    either; only hit layout and key-building cost differ. *)
-
 val phase_digest : Oracle.t -> calls:string array -> Checker.phase -> string
-(** Digest-keying oracle slice for [phase]: the [During]/[After] syscall
+(** The oracle slice for [phase]: the [During]/[After] syscall
     text and fsync target plus the pre/post boundary digests — no tree is
     walked or serialized. [calls] is the pre-rendered workload
     ([Vfs.Syscall.to_string] per call). *)
 
-val phase_digest_serialized :
-  Oracle.t -> calls:string array -> Checker.phase -> string
-(** [Tree_serialization] oracle slice for [phase]. Memoize per (workload,
-    phase) — it serializes whole oracle trees. *)
+val find : t -> ckey -> entry option
+(** Lookup in this domain's view only (lock-free). [None] means not cached
+    here yet. *)
 
-val find : t -> ckey -> Report.kind list option
-(** Lookup in this domain's view only (lock-free). [Some []] means "cached as
-    consistent"; [None] means not cached here yet. *)
-
-val add : t -> ckey -> Report.kind list -> unit
-(** Record a verdict in this domain's view; published to other domains at the
-    next {!sync}. *)
+val add : t -> ckey -> kinds:Report.kind list -> cov:string list -> unit
+(** Record a verdict and the coverage points marked while computing it in
+    this domain's view; published to other domains at the next {!sync}. *)
 
 val sync : t -> unit
 (** Publish locally-added entries to the shared table and pull entries other

@@ -18,6 +18,10 @@ let rec global_add b p =
 let local_key : (string, unit) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 64)
 
+(* Per-domain recorder armed by [record]: every point marked while it is
+   armed, newest first, including points the local table already holds. *)
+let recorder : string list option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+
 let enable () = Atomic.set enabled true
 let disable () = Atomic.set enabled false
 
@@ -27,6 +31,8 @@ let reset () =
 
 let mark p =
   if Atomic.get enabled then begin
+    let r = Domain.DLS.get recorder in
+    (match !r with Some ps -> r := Some (p :: ps) | None -> ());
     let local = Domain.DLS.get local_key in
     if not (Hashtbl.mem local p) then begin
       Hashtbl.replace local p ();
@@ -44,3 +50,20 @@ let local_reset () = Hashtbl.reset (Domain.DLS.get local_key)
 let local_hits () =
   Hashtbl.fold (fun k () acc -> k :: acc) (Domain.DLS.get local_key) []
   |> List.sort String.compare
+
+let record f =
+  if not (Atomic.get enabled) then (f (), [])
+  else begin
+    let r = Domain.DLS.get recorder in
+    r := Some [];
+    let stop () =
+      let ps = Option.value !r ~default:[] in
+      r := None;
+      List.sort_uniq String.compare ps
+    in
+    match f () with
+    | v -> (v, stop ())
+    | exception e ->
+      ignore (stop ());
+      raise e
+  end

@@ -44,3 +44,12 @@ val local_reset : unit -> unit
 val local_hits : unit -> string list
 (** The points the calling domain has hit since its last {!local_reset},
     sorted — the per-execution coverage attribution. *)
+
+val record : (unit -> 'a) -> 'a * string list
+(** [record f] runs [f] and also returns, sorted and without duplicates,
+    every point the calling domain marked during it — including points its
+    local table already held, which {!local_hits} cannot tell apart. The
+    verdict cache stores these with a verdict so that a cache hit can
+    {!mark} what the skipped mount and check would have marked. Not
+    reentrant: [f] must not call [record]. When collection is disabled it
+    only runs [f] and returns [[]]. *)

@@ -106,10 +106,10 @@ let find tree path = List.find_opt (fun n -> n.path = path) tree
 (* --- digests ---
 
    One stable serialization per node, covering exactly the fields
-   [equal_node] reads (plus [nlink] unconditionally, matching the verdict
-   cache's historical key format — the worst that extra byte can cost is a
-   cache miss, never a collision). The separators are unambiguous because
-   paths and entry names cannot contain control characters. *)
+   [equal_node] reads plus [nlink] unconditionally (directories' nlink is
+   not compared, so for them the extra field can cost a verdict-cache miss,
+   never a collision). The separators are unambiguous because paths and
+   entry names cannot contain control characters. *)
 
 let serialize_node buf n =
   Buffer.add_string buf n.path;

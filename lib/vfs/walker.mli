@@ -32,14 +32,9 @@ val probe : Handle.t -> string -> node option
 
 val find : tree -> string -> node option
 
-val serialize_node : Buffer.t -> node -> unit
-(** Stable byte rendering of one node covering every field [equal_node]
-    compares (plus [nlink] unconditionally). This is the canonical node
-    identity used by both tree digests here and the verdict cache's
-    serialization-mode keys. *)
-
 val hash_node : node -> int
-(** FNV-1a over [serialize_node]'s bytes. *)
+(** FNV-1a over a stable byte rendering of the node that covers every field
+    [equal_node] compares, plus [nlink] unconditionally. *)
 
 val combine : root:int -> count:int -> int
 (** Fold a commutative sum of per-node hashes plus the node count into a tree

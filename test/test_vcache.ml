@@ -95,13 +95,17 @@ let test_digest_undo_rollback () =
 
 (* --- Vcache unit behaviour --- *)
 
+let key ~fs ~image_digest ~phase_digest =
+  Vcache.key_of ~prefix:(Vcache.prefix ~fs ~phase_digest) ~image_digest
+
 let test_vcache_find_add_sync () =
   let c = Vcache.create () in
-  let k = Vcache.key ~fs:"nova" ~image_digest:42 ~phase_digest:"abc" in
+  let k = key ~fs:"nova" ~image_digest:42 ~phase_digest:"abc" in
+  let consistent = { Vcache.kinds = []; cov = [] } in
   Alcotest.(check bool) "empty cache misses" true (Vcache.find c k = None);
-  Vcache.add c k [];
-  Alcotest.(check bool) "consistent verdict cached as Some []" true
-    (Vcache.find c k = Some []);
+  Vcache.add c k ~kinds:[] ~cov:[];
+  Alcotest.(check bool) "consistent verdict cached" true
+    (Vcache.find c k = Some consistent);
   Alcotest.(check int) "not yet published" 0 (Vcache.entries c);
   Vcache.sync c;
   Alcotest.(check int) "published at sync" 1 (Vcache.entries c);
@@ -116,14 +120,14 @@ let test_vcache_find_add_sync () =
   Alcotest.(check bool) "fresh domain misses before sync" true
     (fst seen_after_sync = None);
   Alcotest.(check bool) "fresh domain hits after sync" true
-    (snd seen_after_sync = Some [])
+    (snd seen_after_sync = Some consistent)
 
 let test_vcache_key_separates () =
   (* The key must separate file systems and phases even at equal digests. *)
-  let k1 = Vcache.key ~fs:"nova" ~image_digest:7 ~phase_digest:"p" in
-  let k2 = Vcache.key ~fs:"pmfs" ~image_digest:7 ~phase_digest:"p" in
-  let k3 = Vcache.key ~fs:"nova" ~image_digest:7 ~phase_digest:"q" in
-  let k4 = Vcache.key ~fs:"nova" ~image_digest:8 ~phase_digest:"p" in
+  let k1 = key ~fs:"nova" ~image_digest:7 ~phase_digest:"p" in
+  let k2 = key ~fs:"pmfs" ~image_digest:7 ~phase_digest:"p" in
+  let k3 = key ~fs:"nova" ~image_digest:7 ~phase_digest:"q" in
+  let k4 = key ~fs:"nova" ~image_digest:8 ~phase_digest:"p" in
   let all = [ k1; k2; k3; k4 ] in
   Alcotest.(check int) "four distinct keys" 4
     (List.length (List.sort_uniq compare all))
@@ -197,6 +201,42 @@ let test_harness_vcache_second_run_hits () =
     true (r2.Harness.stats.Harness.vcache_hits > 0);
   Alcotest.(check bool) "cache holds published entries" true (Vcache.entries vcache > 0)
 
+let test_harness_vcache_hit_keeps_coverage () =
+  (* A cache hit skips the mount, check and usability probe; it must still
+     mark the coverage points they would have marked, or the fuzzer's
+     per-execution coverage would depend on which execution (and, at
+     jobs > 1, which domain) filled the cache first. *)
+  let mounting b =
+    Cov.local_reset ();
+    ignore (Harness.test_workload (b.Catalog.driver ()) b.Catalog.trigger);
+    List.exists (String.starts_with ~prefix:"nova.mount.") (Cov.local_hits ())
+  in
+  Cov.enable ();
+  Fun.protect ~finally:Cov.disable (fun () ->
+      let b =
+        match
+          List.find_opt (fun (b : Catalog.t) -> b.Catalog.fs = "NOVA" && mounting b) Catalog.all
+        with
+        | Some b -> b
+        | None -> Alcotest.fail "no NOVA trigger reaches a nova.mount.* point"
+      in
+      let driver = b.Catalog.driver () in
+      let vcache = Vcache.create () in
+      let run () =
+        Cov.local_reset ();
+        let r = Harness.test_workload ~vcache driver b.Catalog.trigger in
+        (Cov.local_hits (), r.Harness.stats.Harness.vcache_hits)
+      in
+      let cold, _ = run () in
+      let warm, warm_hits = run () in
+      Alcotest.(check bool)
+        (Printf.sprintf "bug %d: warm run served from the cache (%d hits)" b.Catalog.bug_no
+           warm_hits)
+        true (warm_hits > 0);
+      Alcotest.(check (list string))
+        (Printf.sprintf "bug %d: same coverage from a cold and a warm cache" b.Catalog.bug_no)
+        cold warm)
+
 (* --- record / replay_recorded split --- *)
 
 let test_replay_recorded_equals_test_workload () =
@@ -261,6 +301,8 @@ let suite =
       test_campaign_vcache_parallel_deterministic;
     Alcotest.test_case "harness: repeated workload served from cache" `Quick
       test_harness_vcache_second_run_hits;
+    Alcotest.test_case "harness: cache hits keep coverage" `Quick
+      test_harness_vcache_hit_keeps_coverage;
     Alcotest.test_case "harness: replay_recorded == test_workload" `Quick
       test_replay_recorded_equals_test_workload;
     Alcotest.test_case "minimize: probes served by trace replay" `Quick
